@@ -156,6 +156,7 @@ void RegionManager::setMapRange(const void *Page, std::size_t NumPages,
 
 void RegionManager::recordRun(Region *R, std::uint32_t PageIdx,
                               std::uint32_t NumPages) {
+  R->OwnedPages += NumPages;
   std::uint32_t I = R->NumRuns++;
   if (I < Region::kInlineRuns) {
     R->InlineRuns[I] = {PageIdx, NumPages};
@@ -289,6 +290,7 @@ Region *RegionManager::newRegion() {
   // cursor starts exhausted, so the next page grabs a fresh run.
   R->InlineRuns[0] = {static_cast<std::uint32_t>(Source.pageIndex(Page)), 1};
   R->NumRuns = 1;
+  R->OwnedPages = 1;
   rstat::traceEvent(rstat::EventKind::NewRegion, R->Id);
   rstat::traceEvent(rstat::EventKind::RunGrab, R->InlineRuns[0].PageIdx, 1);
 
@@ -505,9 +507,9 @@ std::size_t RegionManager::freeRegionMemory(Region *R) {
   std::memcpy(Runs, R->InlineRuns, sizeof(Runs));
   detail::PageRun *Overflow = R->OverflowRuns;
   std::uint32_t NumRuns = R->NumRuns;
+  std::size_t PagesFreed = R->ownedPages();
 
   char *Base = Source.base();
-  std::size_t PagesFreed = 0;
   for (std::uint32_t I = 0; I != NumRuns; ++I) {
     detail::PageRun Run =
         I < Region::kInlineRuns ? Runs[I] : Overflow[I - Region::kInlineRuns];
@@ -516,7 +518,6 @@ std::size_t RegionManager::freeRegionMemory(Region *R) {
     rstat::traceEvent(rstat::EventKind::RunFree, Run.PageIdx, Run.NumPages);
     Source.freePages(Base + std::size_t{Run.PageIdx} * kPageSize,
                      Run.NumPages);
-    PagesFreed += Run.NumPages;
   }
   std::free(Overflow);
   return PagesFreed;

@@ -212,14 +212,10 @@ public:
   unsigned id() const { return Id; }
 
   /// Pages currently owned by this region across every recorded run
-  /// (growth and large-object runs alike). O(runs) — cold; feeds the
-  /// pool's retention-budget accounting and teardown tests.
-  std::size_t ownedPages() const {
-    std::size_t N = 0;
-    for (std::uint32_t I = 0; I != NumRuns; ++I)
-      N += runAt(I).NumPages;
-    return N;
-  }
+  /// (growth and large-object runs alike). O(1): a running total kept
+  /// by newRegion and recordRun; feeds resetRegion's trace and the
+  /// pool's retention-budget accounting.
+  std::size_t ownedPages() const { return OwnedPages; }
 
   /// Adjusts the reference count. Internal: used by the write barrier
   /// and the shadow-stack scan; exposed for tests and advanced clients.
@@ -367,6 +363,9 @@ private:
   // always-false compare in carvePage.
   std::uint32_t NextReserve = 0;
   std::uint32_t ReserveEnd = 0;
+  /// Sum of NumPages over the run table (see ownedPages()). Reset keeps
+  /// every run, so only newRegion and recordRun ever change it.
+  std::uint32_t OwnedPages = 0;
   // Deferred write-barrier stats: the packed hot word (same cache line
   // as CountRefs, the other field every barrier touches) plus the wide
   // spill targets, folded like NumAllocs/ReqBytes.

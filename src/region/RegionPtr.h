@@ -76,6 +76,43 @@ RGN_ALWAYS_INLINE void barrierAssign(void **Slot, void *NewVal) {
   barrierCrossRegion(Slot, OldR, NewR, Probe);
 }
 
+/// The Figure 5 barrier specialised to `*Slot = nullptr`: the paper's
+/// destroy(), run by every RegionPtr destructor and so by every cleanup
+/// thunk at deleteregion (§4.2.4). Records exactly what
+/// barrierAssign(Slot, nullptr) records, but the new value is known to
+/// be null, so the old value and the slot — the two addresses that
+/// decide the outcome — share one OR-combined bounds test, and a
+/// cross-region clear has only the old value's −1 left to buffer.
+RGN_ALWAYS_INLINE void barrierClear(void **Slot) {
+  void *OldVal = *Slot;
+  if (!OldVal)
+    return; // null over null records nothing, as in barrierAssign
+  ArenaProbe Probe;
+  Region *OldR;
+  Region *SlotR;
+  if (!Probe.lookupBoth(OldVal, Slot, OldR, SlotR)) {
+    // A value or slot outside the hot arena (a global slot, another
+    // manager's region); a non-region old value records nothing, so the
+    // slot is classified only when it matters.
+    OldR = Probe.lookup(OldVal);
+    SlotR = OldR ? Probe.lookup(Slot) : nullptr;
+  }
+  *Slot = nullptr;
+  if (!OldR)
+    return;
+  if (OldR == SlotR) {
+    // Clearing an internal (sameregion) reference adjusts no count.
+    OldR->noteSameRegionStore();
+    return;
+  }
+  std::uint64_t Event = 1;
+  if (OldR->countsRefs()) {
+    pendingCountAdd(OldR, -1);
+    Event += 1ull << Region::kBarrierAdjShift;
+  }
+  OldR->noteBarrierEvent(Event);
+}
+
 } // namespace detail
 
 /// A counted region pointer for heap and global storage (C@'s T@ in a
@@ -97,12 +134,12 @@ public:
     return *this;
   }
   RegionPtr &operator=(std::nullptr_t) {
-    assign(nullptr);
+    clear();
     return *this;
   }
 
   /// The paper's destroy(): releases this reference's count.
-  ~RegionPtr() { assign(nullptr); }
+  ~RegionPtr() { clear(); }
 
   T *get() const { return Raw; }
   T &operator*() const {
@@ -125,6 +162,13 @@ private:
                           const_cast<void *>(static_cast<const void *>(Ptr)));
 #if RGN_HARDEN_ENABLED
     RsanR = regionOf(static_cast<const void *>(Ptr));
+#endif
+  }
+
+  void clear() {
+    detail::barrierClear(reinterpret_cast<void **>(&Raw));
+#if RGN_HARDEN_ENABLED
+    RsanR = nullptr;
 #endif
   }
 

@@ -158,6 +158,200 @@ TEST_F(BarrierCountingTest, StatsFoldAtRegionDeletionToo) {
 }
 
 //===----------------------------------------------------------------------===//
+// destroy(): the clear barrier against barrierAssign(Slot, nullptr)
+//===----------------------------------------------------------------------===//
+
+/// Where the value a clear overwrites points.
+enum class OldKind {
+  SameRegion,   ///< into the slot's own region
+  OtherRegion,  ///< another counting region of the slot's manager
+  UnsafeRegion, ///< a region of a manager that keeps no counts
+  OtherArena,   ///< a counting region of another manager
+  NonRegion,    ///< static storage, outside every arena
+};
+
+constexpr OldKind kOldKinds[] = {OldKind::SameRegion, OldKind::OtherRegion,
+                                 OldKind::UnsafeRegion, OldKind::OtherArena,
+                                 OldKind::NonRegion};
+
+char GNonRegionTarget[16];
+
+/// Fresh managers per observation, so each clear is measured alone.
+struct ClearWorld {
+  RegionManager Home{SafetyConfig::safeConfig(), std::size_t{16} << 20};
+  RegionManager Other{SafetyConfig::safeConfig(), std::size_t{16} << 20};
+  RegionManager Unsafe{SafetyConfig::unsafeConfig(), std::size_t{16} << 20};
+  Region *H = Home.newRegion();   ///< holds the slot in the cleanup cases
+  Region *Sib = Home.newRegion(); ///< H's neighbour in the same arena
+  Region *Far = Other.newRegion();
+  Region *Uncounted = Unsafe.newRegion();
+
+  Region *targetRegion(OldKind K) const {
+    switch (K) {
+    case OldKind::SameRegion:
+      return H;
+    case OldKind::OtherRegion:
+      return Sib;
+    case OldKind::UnsafeRegion:
+      return Uncounted;
+    case OldKind::OtherArena:
+      return Far;
+    case OldKind::NonRegion:
+      return nullptr;
+    }
+    return nullptr;
+  }
+
+  void *target(OldKind K) {
+    Region *R = targetRegion(K);
+    return R ? R->manager().allocRaw(R, 16) : GNonRegionTarget;
+  }
+
+  long long count(OldKind K) const {
+    Region *R = targetRegion(K);
+    return R ? R->referenceCount() : 0;
+  }
+
+  /// Barrier statistics summed over every manager: a clear parks its
+  /// event on the old value's region, whichever manager owns it.
+  RegionStats totals() const {
+    RegionStats Sum;
+    for (const RegionManager *M : {&Home, &Other, &Unsafe}) {
+      const RegionStats &S = M->stats();
+      Sum.BarrierStores += S.BarrierStores;
+      Sum.BarrierSameRegion += S.BarrierSameRegion;
+      Sum.BarrierAdjustments += S.BarrierAdjustments;
+    }
+    return Sum;
+  }
+};
+
+/// What one clear did: the old value's region count on both sides of
+/// it and the barrier-statistics deltas it produced.
+struct ClearEffect {
+  long long CountBefore = 0;
+  long long CountAfter = 0;
+  std::uint64_t Stores = 0;
+  std::uint64_t SameRegion = 0;
+  std::uint64_t Adjustments = 0;
+};
+
+void expectSameEffect(const ClearEffect &Got, const ClearEffect &Want) {
+  EXPECT_EQ(Got.CountBefore, Want.CountBefore);
+  EXPECT_EQ(Got.CountAfter, Want.CountAfter);
+  EXPECT_EQ(Got.Stores, Want.Stores);
+  EXPECT_EQ(Got.SameRegion, Want.SameRegion);
+  EXPECT_EQ(Got.Adjustments, Want.Adjustments);
+}
+
+/// Runs \p Clear between two observations of \p W.
+template <typename ClearFn>
+ClearEffect observeClear(ClearWorld &W, OldKind K, ClearFn Clear) {
+  ClearEffect E;
+  E.CountBefore = W.count(K);
+  RegionStats Before = W.totals();
+  Clear();
+  RegionStats After = W.totals();
+  E.CountAfter = W.count(K);
+  E.Stores = After.BarrierStores - Before.BarrierStores;
+  E.SameRegion = After.BarrierSameRegion - Before.BarrierSameRegion;
+  E.Adjustments = After.BarrierAdjustments - Before.BarrierAdjustments;
+  return E;
+}
+
+/// A counted field cleared by RegionPtr's destroy().
+struct ClearedByRegionPtr {
+  RegionPtr<char> P;
+  void set(void *V) { P = static_cast<char *>(V); }
+};
+
+/// The same field cleared by the general barrier with a null value.
+struct ClearedByAssign {
+  void *Raw = nullptr;
+  void set(void *V) { detail::barrierAssign(&Raw, V); }
+  ~ClearedByAssign() { detail::barrierAssign(&Raw, nullptr); }
+};
+
+/// Stores a \p K value into a \p Holder in region H, then deletes or
+/// resets H, whose cleanup thunk clears the field. With \p ColdHome,
+/// another manager's arena is the most recently probed one when the
+/// thunk runs, so the clear classifies its addresses one by one.
+template <typename Holder>
+ClearEffect clearInCleanup(OldKind K, bool Reset, bool ColdHome) {
+  ClearWorld W;
+  rnew<Holder>(W.H)->set(W.target(K));
+  // A successful deleteRegionRaw nulls W.H, so a sameregion target's
+  // count reads 0 once its region is gone.
+  return observeClear(W, K, [&] {
+    if (ColdHome)
+      ASSERT_EQ(regionOf(W.Far), W.Far);
+    EXPECT_TRUE(Reset ? W.Home.resetRegion(W.H) : W.Home.deleteRegionRaw(W.H));
+  });
+}
+
+/// The reference outcome of clearing a cross-region, uncounted or
+/// non-region value; sameregion clears count one store and adjust no
+/// count.
+ClearEffect expectedClear(OldKind K) {
+  switch (K) {
+  case OldKind::SameRegion:
+    return {0, 0, 1, 1, 0};
+  case OldKind::OtherRegion:
+  case OldKind::OtherArena:
+    return {1, 0, 1, 0, 1};
+  case OldKind::UnsafeRegion:
+    return {0, 0, 1, 0, 0};
+  case OldKind::NonRegion:
+    return {0, 0, 0, 0, 0};
+  }
+  return {};
+}
+
+TEST_F(BarrierCountingTest, ClearBarrierMatchesAssignNullInCleanups) {
+  for (OldKind K : kOldKinds) {
+    for (bool Reset : {false, true}) {
+      for (bool ColdHome : {false, true}) {
+        SCOPED_TRACE(testing::Message()
+                     << "old kind " << static_cast<int>(K)
+                     << (Reset ? ", reset" : ", delete")
+                     << (ColdHome ? ", home arena cold" : ""));
+        ClearEffect Want = clearInCleanup<ClearedByAssign>(K, Reset, ColdHome);
+        expectSameEffect(Want, expectedClear(K));
+        expectSameEffect(
+            clearInCleanup<ClearedByRegionPtr>(K, Reset, ColdHome), Want);
+      }
+    }
+  }
+}
+
+RegionPtr<char> GClearedPtr;
+void *GClearedRaw;
+
+TEST_F(BarrierCountingTest, ClearBarrierMatchesAssignNullOutsideRegions) {
+  // Slots outside every region: a global (operator=(nullptr)) and a
+  // malloc'd RegionPtr (its destructor). A sameregion old value cannot
+  // occur there, so every region kind is a counted cross-region clear.
+  for (OldKind K : kOldKinds) {
+    if (K == OldKind::SameRegion)
+      continue;
+    SCOPED_TRACE(testing::Message() << "old kind " << static_cast<int>(K));
+    ClearWorld RefW, GlobalW, HeapW;
+
+    detail::barrierAssign(&GClearedRaw, RefW.target(K));
+    ClearEffect Want = observeClear(
+        RefW, K, [] { detail::barrierAssign(&GClearedRaw, nullptr); });
+    expectSameEffect(Want, expectedClear(K));
+
+    GClearedPtr = static_cast<char *>(GlobalW.target(K));
+    expectSameEffect(observeClear(GlobalW, K, [] { GClearedPtr = nullptr; }),
+                     Want);
+
+    auto *Heap = new RegionPtr<char>(static_cast<char *>(HeapW.target(K)));
+    expectSameEffect(observeClear(HeapW, K, [&] { delete Heap; }), Want);
+  }
+}
+
+//===----------------------------------------------------------------------===//
 // Static sameregion elision
 //===----------------------------------------------------------------------===//
 

@@ -11,11 +11,14 @@
 //===----------------------------------------------------------------------===//
 
 #include "region/Debug.h"
+#include "region/Metrics.h"
+#include "region/Pool.h"
 #include "region/Regions.h"
 #include "support/Prng.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <set>
@@ -305,6 +308,108 @@ TEST_P(RegionPropertyTest, ResetMatchesDeletePlusNewObservably) {
   // end markers one last time (the cleanup scan traverses them all).
   EXPECT_TRUE(MgrA.deleteRegionRaw(A));
   EXPECT_TRUE(MgrB.deleteRegionRaw(B));
+}
+
+/// Pages in each live region's run table, keyed by region id, read back
+/// from dumpHeap's run listing — an oracle independent of ownedPages().
+std::map<unsigned, std::size_t> runTablePages(const RegionManager &Mgr) {
+  std::map<unsigned, std::size_t> Pages;
+  std::FILE *Dump = std::tmpfile();
+  if (!Dump)
+    return Pages;
+  Mgr.dumpHeap(Dump);
+  std::rewind(Dump);
+  char Line[256];
+  unsigned Id = 0;
+  while (std::fgets(Line, sizeof(Line), Dump)) {
+    unsigned RunNo, Begin, End;
+    if (std::sscanf(Line, "region #%u:", &Id) == 1)
+      Pages[Id] += 0;
+    else if (std::sscanf(Line, "  run %u: pages [%u, %u)", &RunNo, &Begin,
+                         &End) == 3)
+      Pages[Id] += End - Begin;
+  }
+  std::fclose(Dump);
+  return Pages;
+}
+
+TEST_P(RegionPropertyTest, OwnedPagesTrackTheRunTable) {
+  // ownedPages() is a running total kept beside the run table; random
+  // region churn — page growth, large runs, exact-fit reservoir reuse,
+  // resets, pool parking and trims — must never let the two drift.
+  RegionManager Mgr{SafetyConfig::safeConfig(), std::size_t{256} << 20};
+  RegionPool Pool{Mgr, RegionPoolConfig{3, 96}};
+  Prng Rng(GetParam() * 977 + 5);
+  std::vector<Region *> Held;
+  std::map<Region *, std::vector<std::size_t>> LargeSizes;
+
+  auto CheckInvariants = [&](int Step) {
+    std::map<unsigned, std::size_t> Runs = runTablePages(Mgr);
+    std::size_t Total = 0;
+    for (const auto &[Id, Pages] : Runs)
+      Total += Pages;
+    std::size_t HeldPages = 0;
+    for (Region *R : Held) {
+      ASSERT_EQ(R->ownedPages(), Runs[R->id()])
+          << "step " << Step << ", region #" << R->id();
+      HeldPages += R->ownedPages();
+    }
+    ASSERT_EQ(Total * kPageSize, Mgr.metrics().InUseBytes) << "step " << Step;
+    ASSERT_EQ(Pool.retainedPages(), Total - HeldPages) << "step " << Step;
+  };
+
+  for (int Step = 0; Step != 300; ++Step) {
+    unsigned Op = static_cast<unsigned>(Rng.nextBelow(8));
+    if (Held.empty() || (Op == 0 && Held.size() < 6)) {
+      Held.push_back(Rng.nextBool(0.5) ? Pool.acquire() : Mgr.newRegion());
+      CheckInvariants(Step);
+      continue;
+    }
+    std::size_t Pick = Rng.nextBelow(Held.size());
+    Region *R = Held[Pick];
+    switch (Op) {
+    case 0:
+    case 1: // page growth: raw and scanned small objects
+      for (unsigned I = 1 + Rng.nextBelow(40); I != 0; --I)
+        Mgr.allocRaw(R, Rng.nextInRange(16, 3000));
+      for (unsigned I = Rng.nextBelow(20); I != 0; --I)
+        rnew<Node>(R)->Out = rnew<Node>(R);
+      break;
+    case 2: { // a large-object run
+      std::size_t Size = Rng.nextInRange(5000, 120000);
+      Mgr.allocRaw(R, Size);
+      LargeSizes[R].push_back(Size);
+      break;
+    }
+    case 3: // a size some earlier incarnation used: exact-fit reuse
+      if (!LargeSizes[R].empty())
+        Mgr.allocRaw(R, LargeSizes[R][Rng.nextBelow(LargeSizes[R].size())]);
+      break;
+    case 4:
+      ASSERT_TRUE(Mgr.resetRegion(R));
+      break;
+    case 5: // parks, or trims older regions (or R itself) to the budget
+      Held.erase(Held.begin() + static_cast<std::ptrdiff_t>(Pick));
+      ASSERT_TRUE(Pool.release(R));
+      break;
+    case 6: { // deletion returns exactly the pages last reported
+      std::size_t Last = R->ownedPages();
+      std::uint64_t InUse = Mgr.metrics().InUseBytes;
+      Held.erase(Held.begin() + static_cast<std::ptrdiff_t>(Pick));
+      LargeSizes.erase(R);
+      ASSERT_TRUE(Mgr.deleteRegionRaw(R));
+      ASSERT_EQ(InUse - Mgr.metrics().InUseBytes, Last * kPageSize)
+          << "step " << Step;
+      break;
+    }
+    case 7:
+      Pool.trimAll();
+      break;
+    }
+    CheckInvariants(Step);
+  }
+  for (Region *R : Held)
+    ASSERT_TRUE(Mgr.deleteRegionRaw(R));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RegionPropertyTest,
