@@ -13,6 +13,8 @@
 //   SameRegionPtr store               (statically elided barrier)
 //   sameregion RegionPtr store        (dynamic sameregion early exit)
 //   cross-region RegionPtr store      (full barrier: counts adjusted)
+//   initializing RegionPtr store      (null old value: one probe of the
+//                                      new value and the slot)
 //   local rt::Ref write               (deferred counting: no counts)
 //
 //===----------------------------------------------------------------------===//
@@ -20,6 +22,8 @@
 #include "region/Regions.h"
 
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 using namespace regions;
 
@@ -148,6 +152,49 @@ void BM_BarrierNullFlipStore(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations() * kBatch);
 }
 BENCHMARK(BM_BarrierNullFlipStore);
+
+/// Initializing stores: each store fills a still-null field of an object
+/// allocated before the timed loop, the pattern of serve's request
+/// objects and mudlle's AST builders (`O->Next = Prev` on a fresh O).
+/// The fields are cleared through the barrier with the timer paused, so
+/// only the null-old-value path is timed; the batch is large enough to
+/// amortize the pause.
+constexpr int kInitBatch = 4096;
+
+void runInitStores(benchmark::State &State, Region *Home, Region *Target) {
+  std::vector<Node *> Objs(kInitBatch);
+  for (Node *&O : Objs)
+    O = rnew<Node>(Home);
+  Node *Val = rnew<Node>(Target);
+  for (auto _ : State) {
+    for (Node *O : Objs) {
+      O->Next = Val;
+      benchmark::DoNotOptimize(O);
+    }
+    State.PauseTiming();
+    for (Node *O : Objs)
+      O->Next = nullptr;
+    State.ResumeTiming();
+  }
+  State.SetItemsProcessed(State.iterations() * kInitBatch);
+}
+
+/// Initializing sameregion store: the value lives in the slot's region.
+void BM_BarrierInitSameRegionStore(benchmark::State &State) {
+  RegionManager Mgr;
+  Region *R = Mgr.newRegion();
+  runInitStores(State, R, R);
+}
+BENCHMARK(BM_BarrierInitSameRegionStore);
+
+/// Initializing cross-region store: every store buffers one +1.
+void BM_BarrierInitCrossRegionStore(benchmark::State &State) {
+  RegionManager Mgr;
+  Region *R1 = Mgr.newRegion();
+  Region *R2 = Mgr.newRegion();
+  runInitStores(State, R1, R2);
+}
+BENCHMARK(BM_BarrierInitCrossRegionStore);
 
 /// Deferred counting for locals: rt::Ref writes never touch counts.
 void BM_LocalRefStore(benchmark::State &State) {

@@ -547,12 +547,14 @@ RGN_ALWAYS_INLINE void flushPendingCounts() {
     GPendingCounts.flushSlow();
 }
 
-/// The write barrier's remainder for stores that cross regions:
-/// classifies the slot through the same snapshot the caller used for
-/// the old and new values, buffers the ±1 count adjustments, and parks
-/// the statistics on the store's region (see barrierAssign in
-/// RegionPtr.h). Kept inline: an out-of-line call forces the probe
-/// snapshot through the stack, which costs more than the body.
+/// The write barrier's remainder for stores that cross regions, reached
+/// only when neither the old nor the new value is null (barrierAssign
+/// in RegionPtr.h sends stores with a null side down the one-probe
+/// path): classifies the slot through the same snapshot the caller
+/// used for the old and new values, buffers the ±1 count adjustments,
+/// and parks the statistics on the store's region. Kept inline: an
+/// out-of-line call forces the probe snapshot through the stack, which
+/// costs more than the body.
 RGN_ALWAYS_INLINE void barrierCrossRegion(void **Slot, Region *OldR,
                                           Region *NewR,
                                           const ArenaProbe &Probe) {

@@ -40,28 +40,90 @@ namespace regions {
 
 namespace detail {
 
-/// The Figure 5 write barrier for `*Slot = NewVal`. One inline branch:
-/// the old and new values are classified through a single hot-arena
-/// probe, and the dominant sameregion outcome bumps only the region's
-/// own deferred counters — no manager state, no count adjustments. The
-/// cross-region remainder (slot classification, buffered ±1 count
-/// adjustments) is out of line in barrierCrossRegion.
+/// The Figure 5 barrier for a store in which one of the two values is
+/// null, so only the other value \p Val and the slot decide the outcome.
+/// \p Delta is the count adjustment a cross-region \p Val takes: −1
+/// when it is the old value being cleared, +1 when it is the new value
+/// being stored into a null slot. \p Stored is what the slot receives.
+/// Val and the slot share one OR-combined bounds test; then exactly one
+/// of four outcomes: a non-region value records nothing, a value in the
+/// slot's region is a sameregion store, a value in another counting
+/// region buffers its adjustment, and one in an uncounted region
+/// records the store event alone.
+RGN_ALWAYS_INLINE void barrierOneSided(void **Slot, void *Val, void *Stored,
+                                       long long Delta) {
+  ArenaProbe Probe;
+  Region *ValR;
+  Region *SlotR;
+  if (!Probe.lookupBoth(Val, Slot, ValR, SlotR)) {
+    // A value or slot outside the hot arena (a global slot, another
+    // manager's region); a non-region value records nothing, so the
+    // slot is classified only when it matters.
+    ValR = Probe.lookup(Val);
+    SlotR = ValR ? Probe.lookup(Slot) : nullptr;
+  }
+  *Slot = Stored;
+  if (!ValR)
+    return;
+  if (ValR == SlotR) {
+    // An internal (sameregion) reference adjusts no count.
+    ValR->noteSameRegionStore();
+    return;
+  }
+  std::uint64_t Event = 1;
+  if (ValR->countsRefs()) {
+    pendingCountAdd(ValR, Delta);
+    Event += 1ull << Region::kBarrierAdjShift;
+  }
+  ValR->noteBarrierEvent(Event);
+}
+
+/// The Figure 5 barrier specialised to `*Slot = nullptr`: the paper's
+/// destroy(), run by every RegionPtr destructor and so by every cleanup
+/// thunk at deleteregion (§4.2.4). A cross-region clear has only the
+/// old value's −1 to buffer.
+RGN_ALWAYS_INLINE void barrierClear(void **Slot) {
+  void *OldVal = *Slot;
+  if (!OldVal)
+    return; // null over null involves no region and records nothing
+  barrierOneSided(Slot, OldVal, nullptr, -1);
+}
+
+/// The Figure 5 write barrier for `*Slot = NewVal`, on one of three
+/// paths chosen by which value is null:
+///
+///  - null old value, an *initializing store* such as `O->Next = Prev`
+///    on a fresh object: only the new value and the slot decide the
+///    outcome, so barrierOneSided classifies them with one probe and a
+///    cross-region store has only the new value's +1 to buffer;
+///  - null new value: barrierClear;
+///  - neither null: the old and new values share one hot-arena probe,
+///    and the dominant sameregion outcome bumps only the region's own
+///    deferred counters. The cross-region remainder (slot
+///    classification, buffered ±1 adjustments) is barrierCrossRegion.
+///
+/// Every path records exactly the counts and barrier statistics the
+/// general Figure 5 classification of (old, new, slot) would. In
+/// RegionPtr's constructors the old value is the member's null
+/// initializer, so the compiler keeps only the initializing path.
 RGN_ALWAYS_INLINE void barrierAssign(void **Slot, void *NewVal) {
   void *OldVal = *Slot;
-  // Null over null — the default-construct / destroy-empty pattern —
-  // involves no region and, as in the seed's both-null early exit,
-  // records nothing; skip the region lookups entirely.
-  if ((reinterpret_cast<std::uintptr_t>(OldVal) |
-       reinterpret_cast<std::uintptr_t>(NewVal)) == 0) {
-    *Slot = NewVal;
+  if (!OldVal) {
+    // Null over null records nothing; the slot already holds the value.
+    if (NewVal)
+      barrierOneSided(Slot, NewVal, NewVal, +1);
+    return;
+  }
+  if (!NewVal) {
+    barrierClear(Slot);
     return;
   }
   ArenaProbe Probe;
   Region *OldR;
   Region *NewR;
   if (!Probe.lookupBoth(OldVal, NewVal, OldR, NewR)) {
-    // One of the values is null or outside the hot arena; classify each
-    // address on its own (lookup handles null and registry misses).
+    // One of the values is outside the hot arena; classify each address
+    // on its own (lookup handles registry misses).
     OldR = Probe.lookup(OldVal);
     NewR = Probe.lookup(NewVal);
   }
@@ -74,43 +136,6 @@ RGN_ALWAYS_INLINE void barrierAssign(void **Slot, void *NewVal) {
     return;
   }
   barrierCrossRegion(Slot, OldR, NewR, Probe);
-}
-
-/// The Figure 5 barrier specialised to `*Slot = nullptr`: the paper's
-/// destroy(), run by every RegionPtr destructor and so by every cleanup
-/// thunk at deleteregion (§4.2.4). Records exactly what
-/// barrierAssign(Slot, nullptr) records, but the new value is known to
-/// be null, so the old value and the slot — the two addresses that
-/// decide the outcome — share one OR-combined bounds test, and a
-/// cross-region clear has only the old value's −1 left to buffer.
-RGN_ALWAYS_INLINE void barrierClear(void **Slot) {
-  void *OldVal = *Slot;
-  if (!OldVal)
-    return; // null over null records nothing, as in barrierAssign
-  ArenaProbe Probe;
-  Region *OldR;
-  Region *SlotR;
-  if (!Probe.lookupBoth(OldVal, Slot, OldR, SlotR)) {
-    // A value or slot outside the hot arena (a global slot, another
-    // manager's region); a non-region old value records nothing, so the
-    // slot is classified only when it matters.
-    OldR = Probe.lookup(OldVal);
-    SlotR = OldR ? Probe.lookup(Slot) : nullptr;
-  }
-  *Slot = nullptr;
-  if (!OldR)
-    return;
-  if (OldR == SlotR) {
-    // Clearing an internal (sameregion) reference adjusts no count.
-    OldR->noteSameRegionStore();
-    return;
-  }
-  std::uint64_t Event = 1;
-  if (OldR->countsRefs()) {
-    pendingCountAdd(OldR, -1);
-    Event += 1ull << Region::kBarrierAdjShift;
-  }
-  OldR->noteBarrierEvent(Event);
 }
 
 } // namespace detail

@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <thread>
 
 using namespace regions;
@@ -348,6 +349,166 @@ TEST_F(BarrierCountingTest, ClearBarrierMatchesAssignNullOutsideRegions) {
 
     auto *Heap = new RegionPtr<char>(static_cast<char *>(HeapW.target(K)));
     expectSameEffect(observeClear(HeapW, K, [&] { delete Heap; }), Want);
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Initializing stores: the null-old-value barrier against Figure 5
+//===----------------------------------------------------------------------===//
+
+/// The reference outcome of storing a \p K value (an OldKind names the
+/// *new* value's location here) into a null slot: the mirror of
+/// expectedClear. A slot outside every region meets no sameregion
+/// value, so there every region kind takes the cross-region row.
+ClearEffect expectedInit(OldKind K) {
+  switch (K) {
+  case OldKind::SameRegion:
+    return {0, 0, 1, 1, 0};
+  case OldKind::OtherRegion:
+  case OldKind::OtherArena:
+    return {0, 1, 1, 0, 1};
+  case OldKind::UnsafeRegion:
+    return {0, 0, 1, 0, 0};
+  case OldKind::NonRegion:
+    return {0, 0, 0, 0, 0};
+  }
+  return {};
+}
+
+/// \p Want with the counts raised by the references a copy's source
+/// already holds: a source in the same kind of slot holds one more.
+ClearEffect withSourceHeld(ClearEffect Want) {
+  long long Held = Want.CountAfter - Want.CountBefore;
+  Want.CountBefore += Held;
+  Want.CountAfter += Held;
+  return Want;
+}
+
+/// Makes the home arena (H's) or another manager's the one the next
+/// barrier probe snapshots. With the home arena cold, an in-region
+/// store cannot classify its new value and slot with the single probe.
+void heatArena(ClearWorld &W, bool ColdHome) {
+  Region *R = ColdHome ? W.Far : W.H;
+  ASSERT_EQ(regionOf(R), R);
+}
+
+/// A counted field of a scanned object, set by RegionPtr's constructor.
+struct InitByConstructor {
+  explicit InitByConstructor(void *V) : P(static_cast<char *>(V)) {}
+  RegionPtr<char> P;
+};
+
+/// A counted field of a scanned object, set by RegionPtr's copy
+/// constructor.
+struct InitByCopy {
+  explicit InitByCopy(const RegionPtr<char> &Src) : P(Src) {}
+  RegionPtr<char> P;
+};
+
+/// Observes the initializing store \p Store (which returns the slot it
+/// filled) against \p Want, then clears the slot and checks that the
+/// value's count is back where it started.
+template <typename StoreFn>
+void checkInit(ClearWorld &W, OldKind K, bool ColdHome, const ClearEffect &Want,
+               StoreFn Store) {
+  RegionPtr<char> *Slot = nullptr;
+  expectSameEffect(observeClear(W, K,
+                                [&] {
+                                  heatArena(W, ColdHome);
+                                  Slot = Store();
+                                }),
+                   Want);
+  ASSERT_NE(Slot, nullptr);
+  *Slot = nullptr;
+  EXPECT_EQ(W.count(K), Want.CountBefore) << "init + clear must balance";
+}
+
+TEST_F(BarrierCountingTest, InitBarrierMatchesFigure5InRegions) {
+  // Slots in a fresh scanned object in H, filled by operator=, by
+  // RegionPtr(T*) and by the copy constructor.
+  for (OldKind K : kOldKinds) {
+    for (bool ColdHome : {false, true}) {
+      SCOPED_TRACE(testing::Message()
+                   << "new kind " << static_cast<int>(K)
+                   << (ColdHome ? ", home arena cold" : ", home arena hot"));
+      const ClearEffect Want = expectedInit(K);
+      {
+        ClearWorld W;
+        auto *Obj = rnew<ClearedByRegionPtr>(W.H);
+        void *V = W.target(K);
+        checkInit(W, K, ColdHome, Want, [&] {
+          Obj->set(V);
+          return &Obj->P;
+        });
+      }
+      {
+        ClearWorld W;
+        void *V = W.target(K);
+        checkInit(W, K, ColdHome, Want,
+                  [&] { return &rnew<InitByConstructor>(W.H, V)->P; });
+      }
+      {
+        ClearWorld W;
+        auto *Src = rnew<ClearedByRegionPtr>(W.H);
+        Src->set(W.target(K));
+        checkInit(W, K, ColdHome, withSourceHeld(Want),
+                  [&] { return &rnew<InitByCopy>(W.H, Src->P)->P; });
+      }
+    }
+  }
+}
+
+RegionPtr<char> GInitPtr;
+
+TEST_F(BarrierCountingTest, InitBarrierMatchesFigure5OutsideRegions) {
+  // Slots outside every region: a global, a malloc'd RegionPtr set by
+  // operator=, one built by RegionPtr(T*) and a copy-constructed one.
+  for (OldKind K : kOldKinds) {
+    if (K == OldKind::SameRegion)
+      continue;
+    for (bool ColdHome : {false, true}) {
+      SCOPED_TRACE(testing::Message()
+                   << "new kind " << static_cast<int>(K)
+                   << (ColdHome ? ", home arena cold" : ", home arena hot"));
+      const ClearEffect Want = expectedInit(K);
+      {
+        ClearWorld W;
+        void *V = W.target(K);
+        checkInit(W, K, ColdHome, Want, [&] {
+          GInitPtr = static_cast<char *>(V);
+          return &GInitPtr;
+        });
+      }
+      {
+        ClearWorld W;
+        auto Heap = std::make_unique<RegionPtr<char>>();
+        void *V = W.target(K);
+        checkInit(W, K, ColdHome, Want, [&] {
+          *Heap = static_cast<char *>(V);
+          return Heap.get();
+        });
+      }
+      {
+        ClearWorld W;
+        std::unique_ptr<RegionPtr<char>> Heap;
+        void *V = W.target(K);
+        checkInit(W, K, ColdHome, Want, [&] {
+          Heap = std::make_unique<RegionPtr<char>>(static_cast<char *>(V));
+          return Heap.get();
+        });
+      }
+      {
+        ClearWorld W;
+        auto Src =
+            std::make_unique<RegionPtr<char>>(static_cast<char *>(W.target(K)));
+        std::unique_ptr<RegionPtr<char>> Heap;
+        checkInit(W, K, ColdHome, withSourceHeld(Want), [&] {
+          Heap = std::make_unique<RegionPtr<char>>(*Src);
+          return Heap.get();
+        });
+        *Src = nullptr;
+      }
+    }
   }
 }
 
